@@ -260,7 +260,9 @@ pub struct EngineConfig {
     pub shards: usize,
 }
 
-/// Counting semaphore bounding concurrent heavy lanes.
+/// Counting semaphore bounding concurrent heavy lanes. Waiters wake on
+/// every release — a cancelled race's slot holders release as they exit,
+/// so every queued lane sees the cancellation — and at the deadline.
 struct Slots {
     available: Mutex<usize>,
     freed: Condvar,
@@ -286,19 +288,21 @@ impl Slots {
                 *avail -= 1;
                 return true;
             }
-            // Bounded wait so cancellation is polled even if a release
-            // signal is missed.
-            let (guard, _) = self
-                .freed
-                .wait_timeout(avail, Duration::from_millis(10))
-                .unwrap();
-            avail = guard;
+            avail = self.freed.wait(avail).unwrap();
         }
     }
 
     fn release(&self) {
         *self.available.lock().unwrap() += 1;
-        self.freed.notify_one();
+        self.freed.notify_all();
+    }
+
+    /// Wakes every waiter to re-check cancellation. Taking the lock
+    /// orders the wake after any waiter's check of the (already raised)
+    /// token, so none sleeps through it.
+    fn wake_all(&self) {
+        drop(self.available.lock().unwrap());
+        self.freed.notify_all();
     }
 }
 
@@ -333,6 +337,10 @@ struct Incumbent {
     /// Shared with the [`RaceBridge`] so a cross-process pump can ship
     /// the incumbent *encoding* (not just its weight) to the coordinator.
     best: Arc<Mutex<Option<(BestEncoding, String)>>>,
+    /// Signalled under `best`'s lock when a better encoding is published
+    /// or a lane exits — the events the re-seeding annealer waits on (a
+    /// cancelled race's other lanes exit, so it sees that too).
+    changed: Arc<Condvar>,
     /// Strongest UNSAT floor proved so far (0 = none: a weight-0 encoding
     /// is impossible, so floor 0 carries no information). Shared with the
     /// [`RaceBridge`] so a cross-process pump can forward floor proofs.
@@ -340,7 +348,8 @@ struct Incumbent {
     cancel: CancelToken,
     /// Lanes still running. Lets a lane that *waits* on the others (the
     /// re-seeding annealer) stop waiting once it is the last one standing,
-    /// instead of idling out the whole timeout.
+    /// instead of idling out the whole timeout; the last lane out raises
+    /// `cancel`, which ends the race thread's wait.
     active_lanes: Arc<AtomicUsize>,
 }
 
@@ -351,6 +360,7 @@ impl Incumbent {
         Incumbent {
             bound: SharedBound::new(),
             best: Arc::new(Mutex::new(None)),
+            changed: Arc::new(Condvar::new()),
             floor: Arc::new(AtomicUsize::new(0)),
             cancel,
             active_lanes: Arc::new(AtomicUsize::new(lanes)),
@@ -368,6 +378,7 @@ impl Incumbent {
             .is_none_or(|(cur, _)| encoding.weight < cur.weight);
         if better {
             *slot = Some((encoding, strategy.to_string()));
+            self.changed.notify_all();
         }
         drop(slot);
         if better && telemetry::global().is_enabled() {
@@ -412,6 +423,17 @@ impl Incumbent {
                 }
             }
         }
+    }
+
+    /// Marks one lane finished and wakes [`wait_for_better_incumbent`]
+    /// callers to re-check the race. The last lane out raises the race's
+    /// token.
+    fn lane_exited(&self) {
+        if self.active_lanes.fetch_sub(1, Ordering::Relaxed) == 1 {
+            self.cancel.cancel();
+        }
+        drop(self.best.lock());
+        self.changed.notify_all();
     }
 
     fn snapshot(&self) -> (Option<(BestEncoding, String)>, usize) {
@@ -722,21 +744,7 @@ fn compile_inner(
             .max_concurrency
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
     );
-    let deadline_cancel = incumbent.cancel.clone();
     let workers: Vec<WorkerReport> = std::thread::scope(|scope| {
-        // Watchdog enforcing the total timeout even on lanes that poll
-        // nothing else (it also exits early once the race is decided).
-        if let Some(total) = config.total_timeout {
-            let cancel = deadline_cancel.clone();
-            scope.spawn(move || {
-                let step = Duration::from_millis(10);
-                while started.elapsed() < total && !cancel.is_cancelled() {
-                    std::thread::sleep(step.min(total.saturating_sub(started.elapsed())));
-                }
-                cancel.cancel();
-            });
-        }
-
         let handles: Vec<_> = strategies
             .iter()
             .zip(&lane_handles)
@@ -757,7 +765,7 @@ fn compile_inner(
                             export_lbd,
                         } => {
                             if !slots.acquire(&incumbent.cancel) {
-                                incumbent.active_lanes.fetch_sub(1, Ordering::Relaxed);
+                                incumbent.lane_exited();
                                 return skipped_lane(strategy.name(), started);
                             }
                             let report = run_descent_lane(
@@ -793,7 +801,7 @@ fn compile_inner(
                             run_baseline_lane(problem, *kind, incumbent, started, strategy.name())
                         }
                     };
-                    incumbent.active_lanes.fetch_sub(1, Ordering::Relaxed);
+                    incumbent.lane_exited();
                     if lane_span.active() {
                         lane_span.attr("strategy", report.strategy.as_str());
                         if let Some(w) = report.final_weight {
@@ -814,13 +822,19 @@ fn compile_inner(
                 })
             })
             .collect();
-        let reports = handles
+        // This thread keeps the deadline, which holds even on lanes that
+        // poll nothing else: it sleeps until the token is raised — by a
+        // decision, an external cancel, or the last lane's exit — or the
+        // deadline passes, then wakes lanes still queued for a slot.
+        if let Some(total) = config.total_timeout {
+            incumbent.cancel.wait_until(started + total);
+            incumbent.cancel.cancel();
+            slots.wake_all();
+        }
+        handles
             .into_iter()
             .map(|h| h.join().expect("worker panicked"))
-            .collect();
-        // Release the watchdog (if the timeout never fired).
-        deadline_cancel.cancel();
-        reports
+            .collect()
     });
 
     // ---- Collect ---------------------------------------------------------
@@ -1168,38 +1182,36 @@ fn run_baseline_lane(
     }
 }
 
-/// Polls the shared incumbent for an encoding strictly better than
-/// `my_best` to re-anneal from. Waits until `deadline` (the race's absolute
-/// end) when one is set; without a deadline only an *already available*
-/// improvement is taken. Either way the wait ends as soon as no *other*
-/// lane is still running — nobody is left to produce an improvement, and
-/// idling out the rest of the timeout would pin the engine's wall clock
-/// (and a server worker) to the full deadline on every uncertified run.
+/// Waits for an encoding strictly better than `my_best` to re-anneal
+/// from. Waits until `deadline` (the race's absolute end) when one is
+/// set; without a deadline only an *already available* improvement is
+/// taken. The wait wakes on each publish and lane exit (a cancelled
+/// race's lanes all exit), and ends as soon as no *other* lane is still
+/// running — nobody is left to produce an improvement, and idling out the
+/// rest of the timeout would pin the engine's wall clock (and a server
+/// worker) to the full deadline on every uncertified run.
 fn wait_for_better_incumbent(
     incumbent: &Incumbent,
     my_best: usize,
     deadline: Option<Instant>,
 ) -> Option<(Vec<PauliString>, usize)> {
+    let mut slot = incumbent.best.lock().unwrap();
     loop {
         if incumbent.cancel.is_cancelled() {
             return None;
         }
-        // Cheap atomic pre-check before cloning the encoding.
-        if incumbent.bound.get() < my_best {
-            let (slot, _) = incumbent.snapshot();
-            if let Some((best, _)) = slot {
-                if best.weight < my_best {
-                    return Some((best.strings, best.weight));
-                }
-            }
+        if let Some((best, _)) = slot.as_ref().filter(|(b, _)| b.weight < my_best) {
+            return Some((best.strings.clone(), best.weight));
         }
         if incumbent.active_lanes.load(Ordering::Relaxed) <= 1 {
             return None; // only this lane is left — nothing to wait for
         }
+        let now = Instant::now();
         match deadline {
-            None => return None,
-            Some(d) if Instant::now() >= d => return None,
-            Some(_) => std::thread::sleep(Duration::from_millis(2)),
+            Some(d) if now < d => {
+                slot = incumbent.changed.wait_timeout(slot, d - now).unwrap().0;
+            }
+            _ => return None,
         }
     }
 }

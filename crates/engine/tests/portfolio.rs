@@ -245,6 +245,56 @@ fn total_timeout_cancels_a_hopeless_run_promptly() {
 }
 
 #[test]
+fn a_distant_deadline_adds_no_floor_to_an_instant_race() {
+    // The race ends when its last lane exits, not on a timer tick: a
+    // baseline-only race under a 60 s deadline costs what the baseline
+    // costs. Median of 5 so one descheduled run cannot fail it.
+    let problem = EncodingProblem::full_sat(1, Objective::MajoranaWeight);
+    let config = EngineConfig {
+        strategies: vec![Strategy::Baseline(BaselineKind::JordanWigner)],
+        total_timeout: Some(Duration::from_secs(60)),
+        ..EngineConfig::default()
+    };
+    let mut times: Vec<Duration> = (0..5)
+        .map(|_| {
+            let started = Instant::now();
+            let outcome = compile(&problem, &config);
+            assert_eq!(outcome.weight(), Some(2), "JW at N=1");
+            started.elapsed()
+        })
+        .collect();
+    times.sort();
+    assert!(
+        times[2] < Duration::from_millis(5),
+        "median race time {:?} (all: {times:?})",
+        times[2]
+    );
+}
+
+#[test]
+fn queued_lanes_are_skipped_once_an_undeadlined_race_is_decided() {
+    // One slot, three descent lanes, no deadline: the lane holding the
+    // slot certifies N=2, and the two queued lanes must wake on the
+    // decision and exit without work — nothing else would ever wake them.
+    let problem = EncodingProblem::full_sat(2, Objective::MajoranaWeight);
+    let config = EngineConfig {
+        strategies: three_descent_lanes(),
+        max_concurrency: Some(1),
+        total_timeout: None,
+        ..EngineConfig::default()
+    };
+    let outcome = compile(&problem, &config);
+    assert!(outcome.optimal_proved);
+    assert_eq!(outcome.weight(), Some(6));
+    let workers = &outcome.report.workers;
+    let skipped = workers
+        .iter()
+        .filter(|w| w.cancelled && w.conflicts == 0 && w.started_at == w.finished_at)
+        .count();
+    assert_eq!(skipped, 2, "queued lanes must be skipped: {workers:?}");
+}
+
+#[test]
 fn anneal_lane_reseeds_from_a_better_incumbent() {
     // Structure γ₃γ₅: the ternary tree encodes it at weight 1, but the
     // best *pair permutation* of Bravyi-Kitaev only reaches weight 2

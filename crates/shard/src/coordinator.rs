@@ -678,6 +678,13 @@ impl Race {
         !w.report.dead && !w.gone && w.result.is_none()
     }
 
+    /// Alive and sent its `Job`. A worker still awaiting its `Job` exits
+    /// on any frame but `Cancel`, so race traffic waits for it; the `Job`
+    /// send primes it with the best bound.
+    fn racing(&self, shard: usize) -> bool {
+        self.alive(shard) && self.workers[shard].jobbed
+    }
+
     fn run(
         mut self,
         started: Instant,
@@ -778,7 +785,7 @@ impl Race {
                         clause,
                     });
                     for target in 0..self.workers.len() {
-                        if target != shard && self.alive(target) && self.send(target, &forwarded) {
+                        if target != shard && self.racing(target) && self.send(target, &forwarded) {
                             self.workers[target].report.clauses_received += 1;
                         }
                     }
@@ -790,7 +797,7 @@ impl Race {
                         best_bound = weight;
                         for target in 0..self.workers.len() {
                             if target != shard
-                                && self.alive(target)
+                                && self.racing(target)
                                 && cancel_sent_at.is_none()
                                 && self.send(target, &Frame::Bound(weight as u64))
                             {
@@ -903,26 +910,31 @@ impl Race {
             }
         }
 
-        // Reap every child (bounded: anything still alive gets killed),
-        // and settle the deferred death verdicts from the Gone handler.
+        // Reap every child, and settle the deferred death verdicts from
+        // the Gone handler. A worker is collected once its reader thread
+        // reports Gone (its stdout closed, so it is exiting); one that
+        // has not closed it within 2 s is killed.
         for worker in &mut self.workers {
             worker.tx = None; // EOF lets a lingering worker exit
+        }
+        for shard in 0..self.workers.len() {
+            let deadline = Instant::now() + Duration::from_secs(2);
+            while !self.workers[shard].gone {
+                let left = deadline.saturating_duration_since(Instant::now());
+                match self.events.recv_timeout(left) {
+                    Ok(Event::Gone(gone)) => self.workers[gone].gone = true,
+                    Ok(Event::Frame(..)) => {} // wind-down traffic
+                    Err(_) => break,           // deadline, or every reader gone
+                }
+            }
+            let worker = &mut self.workers[shard];
             let Some(child) = &mut worker.child else {
                 continue;
             };
-            let deadline = Instant::now() + Duration::from_secs(2);
-            let status = loop {
-                match child.try_wait() {
-                    Ok(Some(status)) => break Some(status),
-                    Ok(None) if Instant::now() < deadline => {
-                        std::thread::sleep(Duration::from_millis(10))
-                    }
-                    _ => {
-                        let _ = child.kill();
-                        break child.wait().ok();
-                    }
-                }
-            };
+            if !worker.gone {
+                let _ = child.kill();
+            }
+            let status = child.wait().ok();
             worker.exit_status = status.map(|s| s.to_string());
             // No result and not a clean exit 0: the worker died (was
             // signalled, crashed, or had to be killed), whenever that

@@ -184,6 +184,48 @@ fn sigkilled_worker_degrades_the_race_not_the_result() {
     );
 }
 
+#[test]
+fn a_late_worker_gets_no_race_traffic_before_its_job() {
+    // Shard 1 says Hello 500 ms late — a wrapper sleeps before it execs
+    // the worker — while shard 0 already exports clauses and bounds. A
+    // worker still waiting for its Job treats such frames as a protocol
+    // violation and exits, so the coordinator must hold them back.
+    use std::os::unix::fs::PermissionsExt;
+    let dir = std::env::temp_dir().join(format!("fermihedral-late-worker-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let wrapper = dir.join("late-worker.sh");
+    std::fs::write(
+        &wrapper,
+        format!(
+            "#!/bin/sh\n[ \"$3\" = 1 ] && sleep 0.5\nexec '{}' \"$@\"\n",
+            worker_bin().display()
+        ),
+    )
+    .unwrap();
+    std::fs::set_permissions(&wrapper, std::fs::Permissions::from_mode(0o755)).unwrap();
+
+    let problem = EncodingProblem::full_sat(4, Objective::MajoranaWeight);
+    let outcome = compile_sharded_with(
+        &problem,
+        &sharded_config(2, Duration::from_secs(120)),
+        None,
+        None,
+        &ShardOptions {
+            worker_bin: Some(wrapper),
+            ..ShardOptions::default()
+        },
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_valid_optimum(&problem, &outcome, "late-joiner race");
+    let shards = &outcome.report.shards;
+    assert_eq!(shards.len(), 2, "both workers spawned: {shards:?}");
+    assert!(shards[0].clauses_sent > 0, "shard 0 exported: {shards:?}");
+    assert!(
+        shards.iter().all(|s| !s.dead),
+        "the late worker must not die: {shards:?}"
+    );
+}
+
 /// One attempt of the post-mortem scenario: SIGKILL the victim
 /// `delay_ms` into the race, then check that the coordinator wrote a
 /// complete bundle. Returns `Err` when the kill landed outside the
