@@ -60,8 +60,8 @@ pub use cache::{CacheCounters, CacheEntry, SizeIndex, SolutionCache};
 pub use fingerprint::{fingerprint, size_key, Fingerprint};
 pub use portfolio::{
     compile, compile_bridged, compile_with, cross_size_warm_start, default_portfolio,
-    partition_strategies, BaselineKind, ClauseSharing, EngineConfig, EngineOutcome, RaceBridge,
-    Strategy,
+    measure_weight, partition_strategies, validated_weight, BaselineKind, ClauseSharing,
+    EngineConfig, EngineOutcome, RaceBridge, Strategy,
 };
 pub use problemio::{problem_from_json, problem_to_json};
 pub use report::{

@@ -910,23 +910,34 @@ fn validated_hint_entry(
     strategy: &str,
 ) -> Option<CacheEntry> {
     let strings = hint?;
-    if strings.len() != 2 * problem.num_modes()
-        || strings
-            .iter()
-            .any(|s| s.num_qubits() != problem.num_modes())
-    {
-        return None;
-    }
-    let phased: Vec<PhasedString> = strings.iter().cloned().map(PhasedString::from).collect();
-    if !satisfies_problem(problem, &phased) {
-        return None;
-    }
     Some(CacheEntry {
         strings: strings.to_vec(),
-        weight: measure(problem, &phased),
+        weight: validated_weight(problem, strings)?,
         optimal: false,
         strategy: strategy.to_string(),
     })
+}
+
+/// The trust-boundary check for an encoding that comes from outside this
+/// race — a cache file, a warm hint, another process or host: its
+/// objective weight, measured locally, when `strings` are `2N` strings on
+/// `N` qubits that satisfy the problem's enabled constraints, and `None`
+/// otherwise. Shape is checked first, so malformed input is rejected
+/// rather than tripping the Pauli algebra's own width assertions.
+pub fn validated_weight(problem: &EncodingProblem, strings: &[PauliString]) -> Option<usize> {
+    let modes = problem.num_modes();
+    if strings.len() != 2 * modes || strings.iter().any(|s| s.num_qubits() != modes) {
+        return None;
+    }
+    let phased: Vec<PhasedString> = strings.iter().cloned().map(PhasedString::from).collect();
+    satisfies_problem(problem, &phased).then(|| measure(problem, &phased))
+}
+
+/// The problem's objective weight of `strings`, unvalidated (see
+/// [`validated_weight`] for input that crossed a trust boundary).
+pub fn measure_weight(problem: &EncodingProblem, strings: &[PauliString]) -> usize {
+    let phased: Vec<PhasedString> = strings.iter().cloned().map(PhasedString::from).collect();
+    measure(problem, &phased)
 }
 
 /// Probes the cross-size index for the largest cached `M < N` solution of
@@ -951,11 +962,9 @@ pub fn cross_size_warm_start(
         let Ok(lifted) = embed_to(&entry.strings, problem.num_modes()) else {
             continue; // torn or foreign entry: not a valid encoding
         };
-        let phased: Vec<PhasedString> = lifted.iter().cloned().map(PhasedString::from).collect();
-        if !satisfies_problem(problem, &phased) {
+        let Some(weight) = validated_weight(problem, &lifted) else {
             continue;
-        }
-        let weight = measure(problem, &phased);
+        };
         return Some((
             CacheEntry {
                 strings: lifted,

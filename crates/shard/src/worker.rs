@@ -4,7 +4,9 @@
 //!
 //! Protocol (pipe worker's view):
 //!
-//! 1. send `Hello { shard, protocol }`;
+//! 1. send `Hello { shard, protocol }`; the coordinator answers with a
+//!    `Welcome`, the handshake a TCP fleet worker gets too (a pipe
+//!    worker's shard id is fixed at spawn, so it is informational here);
 //! 2. receive `Job` (problem + lane assignment); verify the problem
 //!    fingerprint — clause frames are only sound between processes
 //!    solving the identical CNF;
@@ -14,19 +16,19 @@
 //!      incumbent, `Cancel` → raise the race's token), and
 //!    * a **pump** loop streams outgoing traffic (drained exports as
 //!      `Clause` frames, incumbent improvements as `Bound`, UNSAT floors
-//!      as `Floor`, and periodic flight-recorder checkpoints as
-//!      `BlackBox` — the raw material for the coordinator's post-mortem
-//!      bundles);
+//!      as `Floor`, periodic flight-recorder checkpoints as `BlackBox` —
+//!      the raw material for the coordinator's post-mortem bundles — and
+//!      a `Heartbeat` about every 250 ms, so the coordinator can tell a
+//!      frozen worker from a busy one);
 //! 4. send a terminal `Result` and exit.
 //!
-//! A TCP fleet worker speaks the same job protocol with three
-//! differences: the handshake is `Hello` → `Welcome` (the coordinator
-//! assigns or confirms the shard id, and both sides verify protocol
-//! versions); the worker sends periodic `Heartbeat` frames — echoed by
-//! the coordinator — so silence is measurable on both ends; and the
-//! session *persists across races*: after a `Result` the worker waits
-//! for the next `Job`, and a dropped connection triggers
-//! reconnect-and-rejoin under the shard id it was assigned.
+//! A TCP fleet worker speaks the same job protocol with two
+//! differences: the coordinator assigns or confirms its shard id in the
+//! `Welcome`, and the session *persists across races*: after a `Result`
+//! the worker waits for the next `Job` (heartbeating in between and
+//! measuring the coordinator's silence by the echoes), and a dropped
+//! connection triggers reconnect-and-rejoin under the shard id it was
+//! assigned.
 //!
 //! A panic hook routes any panic through the structured logger before
 //! the default backtrace, so the panic message rides the last `BlackBox`
@@ -63,8 +65,7 @@ const TRACE_EVERY_TICKS: u32 = 50;
 /// ever-growing log.
 const BLACKBOX_EVERY_TICKS: u32 = 40;
 
-/// Pump ticks between in-race `Heartbeat` frames (~every 250 ms, TCP
-/// sessions only).
+/// Pump ticks between in-race `Heartbeat` frames (~every 250 ms).
 const HEARTBEAT_EVERY_TICKS: u32 = 50;
 
 /// Idle-session heartbeat cadence (between jobs).
@@ -126,9 +127,8 @@ pub fn run_worker(shard: usize, input: impl Read + Send + 'static, mut output: i
         return 1;
     }
 
-    // The Job must arrive before anything else (a version-4 coordinator
-    // may confirm the handshake with a Welcome first; pipes need no
-    // assignment, so it is informational here).
+    // The Job must arrive before anything else but the coordinator's
+    // Welcome and heartbeat echoes.
     let mut input = input;
     let job = loop {
         match read_frame(&mut input) {
@@ -165,30 +165,24 @@ pub fn run_worker(shard: usize, input: impl Read + Send + 'static, mut output: i
         }
     };
 
-    race_job(
-        shard,
-        &job,
-        &mut output,
-        |bridge, remote_bound| {
-            // ---- Reader thread: coordinator → race ----------------------
-            // Deliberately *detached* (not scoped): it blocks in
-            // read_frame until the coordinator closes our stdin, which
-            // only happens after we send a Result. If the race thread
-            // panics, no Result is ever sent — a scoped reader would then
-            // deadlock the scope join; detached, it simply dies with the
-            // process.
-            std::thread::spawn(move || {
-                let mut input = input;
-                while let Ok(Some(frame)) = read_frame(&mut input) {
-                    apply_race_frame(&bridge, &remote_bound, frame);
-                }
-                // Cancellation and coordinator death end the race the
-                // same way: stop promptly, report best-so-far.
-                bridge.cancel.cancel();
-            });
-        },
-        false,
-    )
+    race_job(shard, &job, &mut output, |bridge, remote_bound| {
+        // ---- Reader thread: coordinator → race ----------------------
+        // Deliberately *detached* (not scoped): it blocks in
+        // read_frame until the coordinator closes our stdin, which
+        // only happens once the race is over. If the race thread
+        // panics, no Result is ever sent — a scoped reader would then
+        // deadlock the scope join; detached, it simply dies with the
+        // process.
+        std::thread::spawn(move || {
+            let mut input = input;
+            while let Ok(Some(frame)) = read_frame(&mut input) {
+                apply_race_frame(&bridge, &remote_bound, frame);
+            }
+            // Cancellation and coordinator death end the race the
+            // same way: stop promptly, report best-so-far.
+            bridge.cancel.cancel();
+        });
+    })
 }
 
 /// Applies one in-race frame from the coordinator to the race's bridge:
@@ -228,7 +222,6 @@ fn race_job<W: Write>(
     job: &Job,
     output: &mut W,
     on_bridge: impl FnOnce(RaceBridge, Arc<AtomicUsize>),
-    heartbeats: bool,
 ) -> i32 {
     let local_fp = engine::fingerprint(&job.problem).to_hex();
     if local_fp != job.fingerprint {
@@ -323,7 +316,7 @@ fn race_job<W: Write>(
                 bridge.cancel.cancel();
             }
             ticks += 1;
-            if heartbeats && ticks.is_multiple_of(HEARTBEAT_EVERY_TICKS) {
+            if ticks.is_multiple_of(HEARTBEAT_EVERY_TICKS) {
                 heartbeat_seq += 1;
                 let beat = Frame::Heartbeat { seq: heartbeat_seq };
                 if write_frame(output, &beat)
@@ -685,15 +678,9 @@ fn fleet_session(stream: &TcpStream, shard: &mut Option<usize>) -> SessionEnd {
             match msg_rx.recv_timeout(IDLE_HEARTBEAT) {
                 Ok(SessionMsg::Job(job)) => {
                     let mut out = stream;
-                    let code = race_job(
-                        assigned,
-                        &job,
-                        &mut out,
-                        |bridge, remote_bound| {
-                            router.lock().unwrap().install(bridge, remote_bound);
-                        },
-                        true,
-                    );
+                    let code = race_job(assigned, &job, &mut out, |bridge, remote_bound| {
+                        router.lock().unwrap().install(bridge, remote_bound);
+                    });
                     router.lock().unwrap().clear();
                     match code {
                         0 => {} // result sent; wait for the next job
